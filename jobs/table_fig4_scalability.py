@@ -30,11 +30,10 @@ def main(did: int):
             if base is None:
                 base = r["time"]
             rows.append((ds.name, prefix, parts, round(r["time"], 3),
-                         round(base / r["time"], 2), r["rounds"],
-                         r["spark_tmfg"]))
+                         round(base / r["time"], 2), r["rounds"]))
     table = markdown_table(
-        ["dataset", "prefix", "partitions", "time_s", "speedup", "rounds",
-         "spark_tmfg"], rows)
+        ["dataset", "prefix", "partitions", "time_s", "speedup", "rounds"],
+        rows)
     write_result("table_fig4_scalability.md",
                  "# Fig. 4 (speedup vs parallelism)\n\n" + table)
     spark.stop()

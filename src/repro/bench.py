@@ -24,11 +24,6 @@ from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
 from repro.datasets import TSDataset, correlation_matrices
 
-# Rounds cap above which the per-round Spark job latency (~0.3 s in local
-# mode) would dominate TMFG construction; beyond it the pipeline keeps the
-# TMFG on the driver (see EXPERIMENTS.md discussion of PAR-TDBHT-1).
-SPARK_TMFG_MAX_ROUNDS = 150
-
 
 def znorm(X: np.ndarray) -> np.ndarray:
     mu = X.mean(axis=1, keepdims=True)
@@ -62,18 +57,12 @@ def run_seq_tdbht(ds: TSDataset, S, D, k, prefix: int = 1) -> Dict:
 
 
 def run_par_tdbht(spark, ds: TSDataset, S, D, k, prefix: int,
-                  partitions: Optional[int] = None,
-                  force_spark_tmfg: Optional[bool] = None) -> Dict:
+                  partitions: Optional[int] = None) -> Dict:
     from repro.spark.pipeline import par_tdbht
 
-    est_rounds = (ds.n - 4) / prefix
-    spark_tmfg = (est_rounds <= SPARK_TMFG_MAX_ROUNDS
-                  if force_spark_tmfg is None else force_spark_tmfg)
-    run = par_tdbht(spark, S, D, prefix=prefix, partitions=partitions,
-                    spark_tmfg=spark_tmfg)
+    run = par_tdbht(spark, S, D, prefix=prefix, partitions=partitions)
     return {"time": run.total, "ari": ari(ds.y, run.result.dendrogram.cut_k(k)),
-            "steps": run.times, "rounds": run.tmfg.rounds,
-            "spark_tmfg": spark_tmfg}
+            "steps": run.times, "rounds": run.tmfg.rounds}
 
 
 def run_linkage(ds: TSDataset, S, D, k, method: str) -> Dict:

@@ -8,9 +8,10 @@ inserted in the same round. ``prefix=1`` reproduces the exact sequential
 TMFG of Massara et al. The bubble tree (Algorithm 2) is built during
 construction.
 
-The Spark implementation (``repro.spark.tmfg_spark``) keeps the GAINS
-table as a DataFrame and must produce bit-identical output; all ties here
-break toward smaller vertex/face ids to make that possible.
+This is the only TMFG builder: ``seq_tdbht`` and ``par_tdbht`` both call
+``tmfg``, so their graphs and bubble trees are identical by construction.
+All ties break toward smaller vertex/face ids, so the output is
+deterministic.
 """
 from __future__ import annotations
 
@@ -53,6 +54,8 @@ def _check_similarity(S: np.ndarray) -> np.ndarray:
         raise ValueError("S must be square")
     if n < 4:
         raise ValueError("TMFG needs at least 4 vertices")
+    if not np.isfinite(S).all():
+        raise ValueError("S must be finite (no NaN or inf)")
     if not np.allclose(S, S.T, atol=1e-8):
         raise ValueError("S must be symmetric")
     return S
@@ -149,6 +152,8 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
         else:
             gains.clear()
     edge_arr = np.array(sorted(set(edges)), dtype=np.int64)
-    assert len(edge_arr) == 3 * n - 6, "TMFG must have exactly 3n-6 edges"
+    if len(edge_arr) != 3 * n - 6:
+        raise RuntimeError(f"TMFG must have exactly 3n-6 = {3 * n - 6} "
+                           f"edges, got {len(edge_arr)}")
     return TMFGResult(n=n, prefix=prefix, edges=edge_arr, tree=tree,
                       rounds=rounds, seed_vertices=seed, insertions=insertions)

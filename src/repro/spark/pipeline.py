@@ -1,17 +1,18 @@
 """End-to-end PAR-TDBHT pipeline with the paper's step-timing breakdown.
 
-``par_tdbht`` mirrors the paper's PAR-TDBHT: parallel TMFG construction,
-distributed APSP, Spark SQL vertex assignments, and distributed subgroup
-linkage, returning the dendrogram plus per-step wall times keyed exactly
-like Figure 5: ``tmfg``, ``apsp``, ``bubble-tree`` (directions +
-assignments), ``hierarchy``.
+``par_tdbht`` mirrors the paper's PAR-TDBHT: prefix-batched TMFG
+construction (Algorithm 1, on the driver: the same ``repro.core.tmfg``
+that ``seq_tdbht`` runs), distributed APSP, Spark SQL vertex
+assignments, and distributed subgroup linkage, returning the dendrogram
+plus per-step wall times keyed exactly like Figure 5: ``tmfg``, ``apsp``,
+``bubble-tree`` (directions + assignments), ``hierarchy``.
 
 ``seq_tdbht`` is the SEQ-TDBHT analog: the same algorithms on the driver
 with no Spark involvement (numpy reference implementations throughout).
 
-``partitions`` throttles available parallelism (tasks <= partitions in
-local mode), standing in for the paper's thread-count knob in the
-scalability experiment (Figure 4) — see DESIGN.md substitutions.
+``partitions`` throttles the parallelism of the Spark stages (tasks <=
+partitions in local mode), standing in for the paper's thread-count knob
+in the scalability experiment (Figure 4) — see DESIGN.md substitutions.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from repro.core.tmfg import TMFGResult, tmfg
 from repro.spark.apsp_spark import apsp_df
 from repro.spark.dbht_spark import assign_vertices_spark, subgroup_linkages_spark
 from repro.spark.similarity import sim_df_from_matrix
-from repro.spark.tmfg_spark import tmfg_spark
 
 
 @dataclass
@@ -45,11 +45,9 @@ class TimedRun:
 
 
 def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
-              prefix: int = 10, partitions: Optional[int] = None,
-              spark_tmfg: bool = True) -> TimedRun:
-    """Parallel TMFG + DBHT (PAR-TDBHT). ``spark_tmfg=False`` keeps the
-    TMFG on the driver (useful when per-round job latency dominates at
-    small n) while the rest stays distributed."""
+              prefix: int = 10, partitions: Optional[int] = None) -> TimedRun:
+    """Parallel TMFG + DBHT (PAR-TDBHT): prefix-batched TMFG on the
+    driver, then APSP, assignments and subgroup linkage in Spark."""
     times: Dict[str, float] = {}
     # ``partitions`` also throttles the shuffle stages (joins/aggregations)
     # so the knob bounds total parallelism, like the paper's thread count.
@@ -58,10 +56,7 @@ def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
         spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
     try:
         t0 = time.monotonic()
-        if spark_tmfg:
-            t = tmfg_spark(spark, S, prefix=prefix, partitions=partitions)
-        else:
-            t = tmfg(S, prefix=prefix)
+        t = tmfg(S, prefix=prefix)
         times["tmfg"] = time.monotonic() - t0
 
         t0 = time.monotonic()

@@ -16,10 +16,10 @@ def data():
     return ds, S, D
 
 
-@pytest.mark.parametrize("prefix", [1, 8])
+@pytest.mark.parametrize("prefix", [1, 8, 1000])  # 1000: prefix >= n
 def test_par_equals_seq(spark, data, prefix):
     ds, S, D = data
-    par = par_tdbht(spark, S, D, prefix=prefix, spark_tmfg=(prefix > 1))
+    par = par_tdbht(spark, S, D, prefix=prefix)
     seq = seq_tdbht(S, D, prefix=prefix)
     assert np.array_equal(par.tmfg.edges, seq.tmfg.edges)
     assert np.array_equal(par.result.assignments.group,
@@ -32,7 +32,7 @@ def test_par_equals_seq(spark, data, prefix):
 
 def test_times_breakdown_keys(spark, data):
     _, S, D = data
-    run = par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
+    run = par_tdbht(spark, S, D, prefix=8)
     assert set(run.times) == {"tmfg", "apsp", "bubble-tree", "hierarchy"}
     assert all(v >= 0 for v in run.times.values())
     assert run.total == pytest.approx(sum(run.times.values()))
@@ -40,13 +40,13 @@ def test_times_breakdown_keys(spark, data):
 
 def test_quality_on_easy_data(spark, data):
     ds, S, D = data
-    run = par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
+    run = par_tdbht(spark, S, D, prefix=8)
     labels = run.result.dendrogram.cut_k(ds.n_classes)
     assert ari(ds.y, labels) > 0.5
 
 
 def test_partitions_dont_change_result(spark, data):
     _, S, D = data
-    a = par_tdbht(spark, S, D, prefix=8, partitions=2, spark_tmfg=False)
-    b = par_tdbht(spark, S, D, prefix=8, partitions=12, spark_tmfg=False)
+    a = par_tdbht(spark, S, D, prefix=8, partitions=2)
+    b = par_tdbht(spark, S, D, prefix=8, partitions=12)
     assert np.allclose(a.result.dendrogram.merges, b.result.dendrogram.merges)

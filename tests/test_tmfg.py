@@ -72,6 +72,11 @@ class TestStructure:
             tmfg(rand_sim(5, 0), prefix=0)
         with pytest.raises(ValueError):
             tmfg(np.arange(16.0).reshape(4, 4))  # not symmetric
+        for bad in (np.inf, np.nan):  # symmetric, so only finiteness fails
+            S = rand_sim(10, 0)
+            S[2, 5] = S[5, 2] = bad
+            with pytest.raises(ValueError, match="S must be finite"):
+                tmfg(S)
 
 
 class TestGreedySemantics:
