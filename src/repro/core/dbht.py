@@ -1,4 +1,5 @@
-"""Parallel DBHT for TMFG (Algorithm 4) — driver reference implementation.
+"""Parallel DBHT for TMFG (Algorithm 4), run on the driver by both
+SEQ-TDBHT and PAR-TDBHT (PAR-TDBHT fans only the APSP out over Spark).
 
 Steps (Section V):
   1. direct the bubble-tree edges (Algorithm 3, linear work);
@@ -17,14 +18,13 @@ Steps (Section V):
      converging-bubble counts above).
 
 Tie-breaking: the paper's WRITEMAX/WRITEMIN on (score, bubble) pairs
-leaves ties platform-defined; we break all score ties toward the smaller
-bubble id, and the Spark implementation (``repro.spark.dbht_spark``)
-matches this exactly.
+leaves ties platform-defined; scores here are summed in a fixed order and
+compared exactly, and every exact tie goes to the smaller bubble id.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,81 +51,105 @@ class DBHTResult:
 
 
 # --------------------------------------------------------------------- APSP
-def tmfg_apsp(D: np.ndarray, t: TMFGResult) -> np.ndarray:
-    """All-pairs shortest paths over the TMFG with dissimilarity weights."""
+def tmfg_apsp(D: np.ndarray, t: TMFGResult,
+              rows: Callable[..., np.ndarray] = shortest_paths.apsp
+              ) -> np.ndarray:
+    """All-pairs shortest paths over the TMFG with dissimilarity weights.
+
+    ``rows(n, edges, weights)`` returns the ``(n, n)`` distance matrix:
+    by default every Dijkstra runs on the driver; PAR-TDBHT passes the
+    Spark fan-out (``repro.spark.apsp_spark.apsp_matrix``).
+    """
+    D = np.asarray(D)
+    if D.shape != (t.n, t.n):
+        raise ValueError(f"D must be ({t.n}, {t.n}) like the TMFG's S, "
+                         f"got {D.shape}")
     w = D[t.edges[:, 0], t.edges[:, 1]]
-    return shortest_paths.apsp(t.n, t.edges, w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("D must be finite on TMFG edges (no NaN or inf)")
+    if np.any(w < 0):
+        raise ValueError("D must be nonnegative on TMFG edges")
+    return rows(t.n, t.edges, w)
 
 
 # --------------------------------------------------- vertex assignment (4-23)
+def _argbest(v: np.ndarray, key: np.ndarray, b: np.ndarray,
+             n: int) -> np.ndarray:
+    """Per vertex, the bubble of its candidate ``(v, key, b)`` with the
+    smallest key, ties to the smallest bubble id; -1 without candidates."""
+    order = np.lexsort((b, key, v))
+    vs = v[order]
+    first = np.ones(len(vs), dtype=bool)
+    first[1:] = vs[1:] != vs[:-1]
+    out = np.full(n, -1, dtype=np.int64)
+    out[vs[first]] = b[order][first]
+    return out
+
+
 def assign_vertices(S: np.ndarray, t: TMFGResult,
                     dist: np.ndarray) -> Assignments:
-    """Lines 4-23 of Algorithm 4: group and bubble assignment."""
+    """Lines 4-23 of Algorithm 4: group and bubble assignment.
+
+    One vectorized pass over the ``(n_b, 4)`` bubble array (members
+    ascending): every ``(v, b)`` membership pair gets chi(v, b), the sum
+    of ``S[u, v]`` over the three other members ``u`` of ``b`` in
+    ascending ``u`` order, and chi'(v, b) = chi(v, b) / (sum of the six
+    intra-bubble edges). Scores are compared exactly.
+    """
     tree = t.tree
     if tree.down is None:
         tree.compute_directions(S, t.edges)
     n = t.n
     cvg = tree.converging_bubbles()
     reach = tree.reachable_converging()  # (n_bubbles, n_cvg) bool
-    mem = tree.vertex_memberships(n)
-    cvg_set = {int(b) for b in cvg}
+    B = np.asarray(tree.bubbles, dtype=np.int64)  # rows ascending
+    n_b = len(B)
+    W = S[B[:, :, None], B[:, None, :]]  # W[b, i, j] = S[B[b, i], B[b, j]]
+    chi = np.empty((n_b, 4))
+    for j in range(4):
+        i0, i1, i2 = (i for i in range(4) if i != j)
+        chi[:, j] = W[:, i0, j] + W[:, i1, j] + W[:, i2, j]
+    denom = (W[:, 0, 1] + W[:, 0, 2] + W[:, 0, 3]
+             + W[:, 1, 2] + W[:, 1, 3] + W[:, 2, 3])
+    # membership pairs (v, b), bubble-major
+    pv = B.ravel()
+    pb = np.repeat(np.arange(n_b), 4)
 
-    # chi(v, b) = sum_{u in b} w(u, v); bubbles are 4-cliques so every u in
-    # the bubble is adjacent to v in the TMFG. Scores are rounded to 12
-    # decimals before comparison so the Spark path (whose SUM order is
-    # nondeterministic) reaches identical argmax decisions; ties go to the
-    # smallest bubble id (iteration over ``cvg`` is ascending).
-    group = np.full(n, -1, dtype=np.int64)
-    best_chi = np.full(n, -np.inf)
-    for b in cvg:
-        verts = tree.bubbles[int(b)]
-        for v in verts:
-            chi = round(sum(S[u, v] for u in verts if u != v), 12)
-            if chi > best_chi[v]:
-                best_chi[v] = chi
-                group[v] = b
+    # First level: vertices inside a converging bubble take the converging
+    # bubble of max chi.
+    k_of = np.full(n_b, -1, dtype=np.int64)  # bubble -> index in cvg
+    k_of[cvg] = np.arange(len(cvg))
+    in_cvg = k_of[pb] >= 0
+    group = _argbest(pv[in_cvg], -chi.ravel()[in_cvg], pb[in_cvg], n)
 
-    # V_b^0: vertices assigned per converging bubble in the first pass.
-    vb0: Dict[int, np.ndarray] = {
-        int(b): np.flatnonzero(group == b) for b in cvg
-    }
-
-    # Remaining vertices: min mean shortest-path distance to V_b^0 over the
-    # converging bubbles they can reach (fallback: all converging bubbles
-    # with nonempty V_b^0, which the paper's "v -> b" set always contains in
-    # practice).
+    # Remaining vertices: min mean shortest-path distance L-bar to V_b^0
+    # (the first-level members of b) over the converging bubbles they can
+    # reach with V_b^0 nonempty (fallback: all such bubbles, which the
+    # paper's "v -> b" set always contains in practice).
     unassigned = np.flatnonzero(group == -1)
-    for v in unassigned:
-        reachable = set()
-        for b in mem[v]:
-            reachable.update(int(cvg[k]) for k in np.flatnonzero(reach[b]))
-        candidates = [b for b in sorted(reachable) if len(vb0[b]) > 0]
-        if not candidates:
-            candidates = [int(b) for b in cvg if len(vb0[int(b)]) > 0]
-        best = None
-        for b in candidates:  # ascending: ties keep the smallest bubble id
-            lbar = round(float(dist[vb0[b], v].mean()), 12)
-            if best is None or lbar < best[0]:
-                best = (lbar, b)
-        group[v] = best[1]
+    if unassigned.size:
+        assigned = np.flatnonzero(group >= 0)
+        ka = k_of[group[assigned]]
+        count = np.bincount(ka, minlength=len(cvg))
+        nonempty = np.flatnonzero(count)
+        # L-bar sums dist[u, v] over u in V_b^0 in ascending u (``add.at``
+        # accumulates row by row)
+        lbar = np.zeros((len(cvg), len(unassigned)))
+        np.add.at(lbar, ka, dist[np.ix_(assigned, unassigned)])
+        lbar = lbar[nonempty] / count[nonempty][:, None]
+        # candidates: converging bubbles reachable from a bubble holding v
+        by_v = np.argsort(pv, kind="stable")
+        reach_v = np.logical_or.reduceat(
+            reach[pb[by_v]], np.searchsorted(pv[by_v], np.arange(n)), axis=0)
+        cand = reach_v[np.ix_(unassigned, nonempty)].T
+        cand[:, ~cand.any(axis=0)] = True
+        kk, vi = np.nonzero(cand)
+        group[unassigned] = _argbest(vi, lbar[kk, vi], cvg[nonempty][kk],
+                                     len(unassigned))
 
-    # Second level: bubble assignment by chi' for *all* vertices (per the
-    # paper's footnote, matching the reference implementation).
-    bubble = np.full(n, -1, dtype=np.int64)
-    best_chi2 = np.full(n, -np.inf)
-    denom = np.empty(tree.n_bubbles())
-    for b in range(tree.n_bubbles()):
-        verts = tree.bubbles[b]
-        denom[b] = sum(
-            S[verts[i], verts[j]] for i in range(4) for j in range(i + 1, 4)
-        )
-    for v in range(n):
-        for b in mem[v]:  # ascending: ties keep the smallest bubble id
-            verts = tree.bubbles[b]
-            chi2 = round(sum(S[u, v] for u in verts if u != v) / denom[b], 12)
-            if chi2 > best_chi2[v]:
-                best_chi2[v] = chi2
-                bubble[v] = b
+    # Second level: bubble assignment by max chi' for *all* vertices (per
+    # the paper's footnote, matching the reference implementation).
+    bubble = _argbest(pv, -(chi / denom[:, None]).ravel(), pb, n)
     return Assignments(group=group, bubble=bubble, converging=cvg)
 
 
@@ -165,16 +189,8 @@ def _run_linkage_into(merges: List[Tuple[int, int]], nodes: List[_Node],
     return root
 
 
-def build_hierarchy(assign: Assignments, dist: np.ndarray,
-                    subgroup_Z: Optional[Dict[Tuple[int, int], np.ndarray]] = None
-                    ) -> Dendrogram:
-    """Lines 24-33 + the Aste height assignment (Section V-D).
-
-    ``subgroup_Z`` optionally supplies precomputed complete-linkage
-    matrices per (group, bubble) subgroup — the Spark path fans these out
-    via ``applyInPandas`` and passes them in; when absent they are
-    computed inline.
-    """
+def build_hierarchy(assign: Assignments, dist: np.ndarray) -> Dendrogram:
+    """Lines 24-33 + the Aste height assignment (Section V-D)."""
     n = dist.shape[0]
     merges: List[Tuple[int, int]] = []
     nodes: List[_Node] = []
@@ -192,10 +208,7 @@ def build_hierarchy(assign: Assignments, dist: np.ndarray,
             if len(members) == 1:
                 sub_roots.append(int(members[0]))
                 continue
-            if subgroup_Z is not None and (g, q) in subgroup_Z:
-                Z = subgroup_Z[(g, q)]
-            else:
-                Z = hac(dist[np.ix_(members, members)], "complete")
+            Z = hac(dist[np.ix_(members, members)], "complete")
             root = _run_linkage_into(
                 merges, nodes, Z, [int(x) for x in members], n, "sub", g, q
             )

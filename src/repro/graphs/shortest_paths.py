@@ -3,8 +3,8 @@
 The DBHT algorithm needs all-pairs shortest paths on the TMFG (a planar
 graph with exactly ``3n - 6`` edges) under the *dissimilarity* edge
 weights. The environment ships no scipy, so Dijkstra is implemented with
-``heapq``. The Spark APSP job (``repro.spark.apsp_spark``) fans the
-sources out over executors and calls :func:`dijkstra` per source.
+``heapq``. The Spark APSP job (``repro.spark.apsp_spark``) splits the
+sources into blocks and calls :func:`apsp` on each block in a Spark task.
 """
 from __future__ import annotations
 
@@ -60,9 +60,8 @@ def apsp(n: int, edges: np.ndarray, weights: np.ndarray,
     defaults to all vertices, giving the full ``(n, n)`` APSP matrix).
     """
     adj = build_adjacency(n, edges, weights)
-    if sources is None:
-        sources = range(n)
-    out = np.empty((len(list(sources)) if not isinstance(sources, range) else len(sources), n))
+    sources = np.arange(n) if sources is None else np.asarray(sources)
+    out = np.empty((len(sources), n))
     for i, s in enumerate(sources):
         out[i] = dijkstra(adj, int(s))
     return out

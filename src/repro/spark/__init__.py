@@ -1,7 +1,8 @@
-"""Spark (distributed dataflow) implementations of the paper's algorithms.
+"""Spark (distributed dataflow) parts of the reproduction.
 
-Every module here has a driver-side numpy reference in ``repro.core`` /
-``repro.graphs``; tests assert bit-identical results between the two
-paths, and every Spark SQL aggregation is additionally checked against
-DuckDB via ``repro.oracle.assert_equivalent``.
+``apsp_spark`` fans the APSP Dijkstras out over Spark tasks, the one Spark
+job of PAR-TDBHT (``pipeline``); its rows are bit-identical to the
+driver's ``repro.graphs.shortest_paths.apsp``. ``similarity`` computes the
+correlation relation in Spark, checked against numpy and, via
+``repro.oracle.assert_equivalent``, against DuckDB.
 """

@@ -1,53 +1,37 @@
 """Distributed all-pairs shortest paths over the TMFG.
 
 APSP is the DBHT bottleneck (Section VII, runtime decomposition). The
-paper runs one Dijkstra per source in parallel; here source vertices are
-partitioned across Spark tasks and each task runs the shared Dijkstra
-substrate (``repro.graphs.shortest_paths``) over the broadcast adjacency,
-emitting long-format ``(src, dst, dist)`` rows.
+paper runs one Dijkstra per source in parallel; here the source vertices
+are split over Spark partitions, each task runs the shared Dijkstra
+substrate (``repro.graphs.shortest_paths.apsp``) for its block of sources
+and returns the dense ``(len(block), n)`` float64 rows, and the driver
+writes the blocks into one ``(n, n)`` matrix. The rows are bit-identical
+to the driver's, whatever the partition count.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
-from repro.graphs.shortest_paths import build_adjacency, dijkstra
-
-DIST_SCHEMA = "src long, dst long, dist double"
+from repro.graphs.shortest_paths import apsp
 
 
-def apsp_df(spark: SparkSession, n: int, edges: np.ndarray,
-            weights: np.ndarray, partitions: int | None = None) -> DataFrame:
-    """DataFrame of all-pairs shortest path distances (n^2 rows)."""
+def apsp_matrix(spark: SparkSession, n: int, edges: np.ndarray,
+                weights: np.ndarray, partitions: int | None = None
+                ) -> np.ndarray:
+    """Dense ``(n, n)`` APSP matrix, sources fanned out over
+    ``partitions`` (default: ``defaultParallelism``) Spark tasks."""
     sc = spark.sparkContext
+    e = np.asarray(edges, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+
+    def run(sources):
+        block = np.fromiter(sources, dtype=np.int64)
+        if block.size:
+            yield block, apsp(n, e, w, sources=block)
+
+    out = np.empty((n, n))
     parts = partitions or sc.defaultParallelism
-    b_edges = sc.broadcast((np.asarray(edges, dtype=np.int64),
-                            np.asarray(weights, dtype=np.float64)))
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        e, w = b_edges.value
-        adj = build_adjacency(n, e, w)
-        for pdf in batches:
-            for src in pdf["src"].to_numpy():
-                d = dijkstra(adj, int(src))
-                yield pd.DataFrame({
-                    "src": np.full(n, src, dtype=np.int64),
-                    "dst": np.arange(n, dtype=np.int64),
-                    "dist": d,
-                })
-
-    sources = spark.range(n).toDF("src").repartition(parts)
-    return sources.mapInPandas(run, DIST_SCHEMA)
-
-
-def apsp_matrix_spark(spark: SparkSession, n: int, edges: np.ndarray,
-                      weights: np.ndarray,
-                      partitions: int | None = None) -> np.ndarray:
-    """Dense (n, n) APSP matrix collected from :func:`apsp_df`."""
-    pdf = apsp_df(spark, n, edges, weights, partitions).toPandas()
-    out = np.full((n, n), np.inf)
-    out[pdf["src"].to_numpy(), pdf["dst"].to_numpy()] = pdf["dist"].to_numpy()
+    for block, rows in sc.parallelize(range(n), parts).mapPartitions(run).collect():
+        out[block] = rows
     return out

@@ -1,24 +1,25 @@
 """End-to-end PAR-TDBHT pipeline with the paper's step-timing breakdown.
 
-``par_tdbht`` mirrors the paper's PAR-TDBHT: prefix-batched TMFG
-construction (Algorithm 1, on the driver: the same ``repro.core.tmfg``
-that ``seq_tdbht`` runs), distributed APSP, Spark SQL vertex
-assignments, and distributed subgroup linkage, returning the dendrogram
-plus per-step wall times keyed exactly like Figure 5: ``tmfg``, ``apsp``,
+``par_tdbht`` and ``seq_tdbht`` run the same steps on the driver and
+differ only in where the APSP Dijkstras run: ``seq_tdbht`` (the
+SEQ-TDBHT analog) runs them on the driver; ``par_tdbht`` fans the source
+vertices out over Spark tasks, its one Spark job. The steps are
+prefix-batched TMFG construction (Algorithm 1, ``repro.core.tmfg``),
+APSP, bubble-tree directions plus vertex assignments, and the three-level
+linkage (``repro.core.dbht``). Each returns the dendrogram plus per-step
+wall times keyed exactly like Figure 5: ``tmfg``, ``apsp``,
 ``bubble-tree`` (directions + assignments), ``hierarchy``.
 
-``seq_tdbht`` is the SEQ-TDBHT analog: the same algorithms on the driver
-with no Spark involvement (numpy reference implementations throughout).
-
-``partitions`` throttles the parallelism of the Spark stages (tasks <=
-partitions in local mode), standing in for the paper's thread-count knob
-in the scalability experiment (Figure 4) — see DESIGN.md substitutions.
+``partitions`` sets the number of APSP tasks (tasks <= partitions in
+local mode), standing in for the paper's thread-count knob in the
+scalability experiment (Figure 4) — see DESIGN.md substitutions.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -26,9 +27,8 @@ from pyspark.sql import SparkSession
 from repro.core import dbht as dbht_mod
 from repro.core.dbht import DBHTResult
 from repro.core.tmfg import TMFGResult, tmfg
-from repro.spark.apsp_spark import apsp_df
-from repro.spark.dbht_spark import assign_vertices_spark, subgroup_linkages_spark
-from repro.spark.similarity import sim_df_from_matrix
+from repro.graphs import shortest_paths
+from repro.spark.apsp_spark import apsp_matrix
 
 
 @dataclass
@@ -46,57 +46,29 @@ class TimedRun:
 
 def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
               prefix: int = 10, partitions: Optional[int] = None) -> TimedRun:
-    """Parallel TMFG + DBHT (PAR-TDBHT): prefix-batched TMFG on the
-    driver, then APSP, assignments and subgroup linkage in Spark."""
-    times: Dict[str, float] = {}
-    # ``partitions`` also throttles the shuffle stages (joins/aggregations)
-    # so the knob bounds total parallelism, like the paper's thread count.
-    old_shuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    if partitions is not None:
-        spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
-    try:
-        t0 = time.monotonic()
-        t = tmfg(S, prefix=prefix)
-        times["tmfg"] = time.monotonic() - t0
-
-        t0 = time.monotonic()
-        w = D[t.edges[:, 0], t.edges[:, 1]]
-        dist_df = apsp_df(spark, t.n, t.edges, w, partitions=partitions)
-        dist_df.persist()
-        pdf = dist_df.toPandas()  # one distributed APSP, reused as matrix
-        dist = np.full((t.n, t.n), np.inf)
-        dist[pdf["src"].to_numpy(), pdf["dst"].to_numpy()] = pdf["dist"].to_numpy()
-        times["apsp"] = time.monotonic() - t0
-
-        t0 = time.monotonic()
-        t.tree.compute_directions(S, t.edges)
-        # restrict the similarity relation to TMFG edges: bubbles are
-        # cliques, so the chi joins never touch non-edge pairs
-        sim = sim_df_from_matrix(spark, S, edges=t.edges)
-        assign = assign_vertices_spark(spark, S, t, dist, sim, dist_df)
-        times["bubble-tree"] = time.monotonic() - t0
-
-        t0 = time.monotonic()
-        sub_Z = subgroup_linkages_spark(spark, assign, dist)
-        dendro = dbht_mod.build_hierarchy(assign, dist, subgroup_Z=sub_Z)
-        times["hierarchy"] = time.monotonic() - t0
-        dist_df.unpersist()
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", old_shuffle)
-    return TimedRun(tmfg=t, result=DBHTResult(dendrogram=dendro,
-                                              assignments=assign, apsp=dist),
-                    times=times)
+    """Parallel TMFG + DBHT (PAR-TDBHT): APSP in Spark, the rest on the
+    driver."""
+    return _tdbht(S, D, prefix,
+                  functools.partial(apsp_matrix, spark, partitions=partitions))
 
 
 def seq_tdbht(S: np.ndarray, D: np.ndarray, prefix: int = 1) -> TimedRun:
     """Sequential TMFG + DBHT on the driver (SEQ-TDBHT analog)."""
+    return _tdbht(S, D, prefix, shortest_paths.apsp)
+
+
+def _tdbht(S: np.ndarray, D: np.ndarray, prefix: int,
+           apsp_rows: Callable[..., np.ndarray]) -> TimedRun:
+    if np.shape(D) != np.shape(S):
+        raise ValueError(f"D must have S's shape {np.shape(S)}, "
+                         f"got {np.shape(D)}")
     times: Dict[str, float] = {}
     t0 = time.monotonic()
     t = tmfg(S, prefix=prefix)
     times["tmfg"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    dist = dbht_mod.tmfg_apsp(D, t)
+    dist = dbht_mod.tmfg_apsp(D, t, rows=apsp_rows)
     times["apsp"] = time.monotonic() - t0
 
     t0 = time.monotonic()

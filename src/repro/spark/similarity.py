@@ -5,8 +5,8 @@ series. Here the ``n x n`` matrix is computed as a Spark job: rows are
 z-normalized on the driver (O(nL)), the normalized matrix is broadcast,
 and row-blocks compute their slice ``Z_block @ Z.T / L`` in parallel via
 ``mapInPandas``, emitting the long-format ``(i, j, sim, dis)`` DataFrame
-used by the DBHT Spark SQL steps. ``dis = sqrt(2 (1 - sim))`` is the
-Mantegna dissimilarity from Section VII.
+that the DuckDB oracle checks against SQL ``CORR``.
+``dis = sqrt(2 (1 - sim))`` is the Mantegna dissimilarity from Section VII.
 """
 from __future__ import annotations
 
@@ -66,31 +66,3 @@ def correlation_matrices_spark(spark: SparkSession, X: np.ndarray,
     S = 0.5 * (S + S.T)
     D = np.sqrt(np.maximum(2.0 * (1.0 - S), 0.0))
     return S, D
-
-
-def sim_df_from_matrix(spark: SparkSession, S: np.ndarray,
-                       D: np.ndarray | None = None,
-                       edges: np.ndarray | None = None) -> DataFrame:
-    """Long-format (i, j, w [, d]) DataFrame from a dense similarity
-    matrix — the input relation for the DBHT Spark SQL assignment steps.
-
-    With ``edges`` (an undirected edge list), only those pairs are emitted
-    (both orders). The DBHT attachment scores only ever look up pairs
-    inside a bubble, and bubbles are cliques, so restricting the relation
-    to the TMFG's ``3n - 6`` edges is semantically identical to the full
-    ``n^2`` relation while keeping the joins proportional to the graph,
-    not its square. Without ``edges``, all off-diagonal pairs are emitted.
-    """
-    if edges is not None:
-        e = np.asarray(edges, dtype=np.int64)
-        ii = np.concatenate([e[:, 0], e[:, 1]])
-        jj = np.concatenate([e[:, 1], e[:, 0]])
-    else:
-        n = S.shape[0]
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        mask = ii != jj
-        ii, jj = ii[mask], jj[mask]
-    data = {"i": ii, "j": jj, "w": S[ii, jj]}
-    if D is not None:
-        data["d"] = D[ii, jj]
-    return spark.createDataFrame(pd.DataFrame(data))

@@ -1,10 +1,10 @@
-"""Distributed APSP: matches the driver Dijkstra substrate exactly."""
+"""Distributed APSP: dense row blocks equal the driver Dijkstra bit for bit."""
 import numpy as np
 import pytest
 
 from repro.core.tmfg import tmfg
 from repro.graphs.shortest_paths import apsp
-from repro.spark.apsp_spark import apsp_df, apsp_matrix_spark
+from repro.spark.apsp_spark import apsp_matrix
 
 
 @pytest.fixture(scope="module")
@@ -21,27 +21,29 @@ def graph():
 
 def test_matches_driver(spark, graph):
     n, edges, w = graph
-    expected = apsp(n, edges, w)
-    got = apsp_matrix_spark(spark, n, edges, w)
-    assert np.allclose(got, expected, atol=0, rtol=0)
+    got = apsp_matrix(spark, n, edges, w)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, apsp(n, edges, w))
 
 
-def test_df_shape_and_zero_diag(spark, graph):
+def test_shape_and_zero_diag(spark, graph):
     n, edges, w = graph
-    df = apsp_df(spark, n, edges, w)
-    assert df.count() == n * n
-    diag = df.filter("src = dst").toPandas()
-    assert np.allclose(diag["dist"], 0.0)
+    M = apsp_matrix(spark, n, edges, w)
+    assert M.shape == (n, n)
+    assert np.all(np.diag(M) == 0.0)
+    assert np.all(np.isfinite(M))
 
 
 def test_symmetric(spark, graph):
     n, edges, w = graph
-    M = apsp_matrix_spark(spark, n, edges, w)
-    assert np.allclose(M, M.T)
+    M = apsp_matrix(spark, n, edges, w)
+    assert np.allclose(M, M.T, rtol=1e-12, atol=0)
 
 
 def test_partitions_dont_change_result(spark, graph):
+    """More partitions than sources leaves some empty; none changes a bit."""
     n, edges, w = graph
-    a = apsp_matrix_spark(spark, n, edges, w, partitions=2)
-    b = apsp_matrix_spark(spark, n, edges, w, partitions=13)
-    assert np.array_equal(a, b)
+    ref = apsp_matrix(spark, n, edges, w, partitions=1)
+    for parts in (2, 13, n + 7):
+        assert np.array_equal(apsp_matrix(spark, n, edges, w, partitions=parts),
+                              ref)

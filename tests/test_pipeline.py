@@ -1,5 +1,5 @@
-"""End-to-end pipeline: PAR-TDBHT (Spark) vs SEQ-TDBHT (driver) produce
-identical dendrograms; timing breakdown keys match Figure 5's steps."""
+"""End-to-end pipeline: PAR-TDBHT (Spark APSP) and SEQ-TDBHT (driver)
+produce bit-identical outputs; timing breakdown keys match Figure 5's steps."""
 import numpy as np
 import pytest
 
@@ -16,18 +16,22 @@ def data():
     return ds, S, D
 
 
+def assert_identical(a, b):
+    """Every output of two runs agrees bit for bit."""
+    assert np.array_equal(a.tmfg.edges, b.tmfg.edges)
+    assert np.array_equal(a.result.apsp, b.result.apsp)
+    for name in ("group", "bubble", "converging"):
+        assert np.array_equal(getattr(a.result.assignments, name),
+                              getattr(b.result.assignments, name))
+    assert np.array_equal(a.result.dendrogram.merges,
+                          b.result.dendrogram.merges)
+
+
 @pytest.mark.parametrize("prefix", [1, 8, 1000])  # 1000: prefix >= n
 def test_par_equals_seq(spark, data, prefix):
     ds, S, D = data
-    par = par_tdbht(spark, S, D, prefix=prefix)
-    seq = seq_tdbht(S, D, prefix=prefix)
-    assert np.array_equal(par.tmfg.edges, seq.tmfg.edges)
-    assert np.array_equal(par.result.assignments.group,
-                          seq.result.assignments.group)
-    assert np.array_equal(par.result.assignments.bubble,
-                          seq.result.assignments.bubble)
-    assert np.allclose(par.result.dendrogram.merges,
-                       seq.result.dendrogram.merges)
+    assert_identical(par_tdbht(spark, S, D, prefix=prefix),
+                     seq_tdbht(S, D, prefix=prefix))
 
 
 def test_times_breakdown_keys(spark, data):
@@ -46,7 +50,41 @@ def test_quality_on_easy_data(spark, data):
 
 
 def test_partitions_dont_change_result(spark, data):
+    """1 APSP task, several, and more tasks than sources (empty ones)."""
+    ds, S, D = data
+    seq = seq_tdbht(S, D, prefix=8)
+    for parts in (1, 2, 12, ds.n + 5):
+        assert_identical(par_tdbht(spark, S, D, prefix=8, partitions=parts),
+                         seq)
+
+
+def _duplicated(n):
+    """Series repeated in pairs: S has identical rows, hence many ties."""
+    ds = latent_curve_dataset("dup", (n + 1) // 2, 40, 2, seed=3)
+    return correlation_matrices(np.repeat(ds.X, 2, axis=0)[:n])
+
+
+def _quantized(n):
+    """S rounded to one decimal (D follows S): many exactly tied scores."""
+    ds = latent_curve_dataset("quant", n, 40, 2, noise=1.0, seed=4)
+    S = np.round(correlation_matrices(ds.X)[0], 1)
+    return S, np.sqrt(np.maximum(2.0 * (1.0 - S), 0.0))
+
+
+@pytest.mark.parametrize("prefix", [1, 3, 100])  # 100: prefix >= n
+@pytest.mark.parametrize("n", [4, 7, 30])
+@pytest.mark.parametrize("make", [_duplicated, _quantized])
+def test_tie_heavy_inputs(spark, make, n, prefix):
+    S, D = make(n)
+    seq = seq_tdbht(S, D, prefix=prefix)
+    par = par_tdbht(spark, S, D, prefix=prefix, partitions=3)
+    seq.result.dendrogram.validate()
+    assert_identical(par, seq)
+
+
+def test_d_shape_must_match_s(spark, data):
     _, S, D = data
-    a = par_tdbht(spark, S, D, prefix=8, partitions=2)
-    b = par_tdbht(spark, S, D, prefix=8, partitions=12)
-    assert np.allclose(a.result.dendrogram.merges, b.result.dendrogram.merges)
+    for run in (lambda: seq_tdbht(S, D[:-1, :-1]),
+                lambda: par_tdbht(spark, S, D[:, :-1])):
+        with pytest.raises(ValueError, match="D must have S's shape"):
+            run()

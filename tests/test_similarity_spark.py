@@ -5,8 +5,7 @@ import pytest
 
 from repro.datasets import correlation_matrices, latent_curve_dataset
 from repro.oracle import assert_equivalent
-from repro.spark.similarity import (correlation_df, correlation_matrices_spark,
-                                    sim_df_from_matrix)
+from repro.spark.similarity import correlation_df, correlation_matrices_spark
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +59,3 @@ def test_oracle_correlation(spark, ds):
         """,
         long=long,
     )
-
-
-def test_sim_df_from_matrix(spark):
-    rng = np.random.default_rng(1)
-    S = rng.random((8, 8))
-    S = (S + S.T) / 2
-    df = sim_df_from_matrix(spark, S)
-    assert df.count() == 8 * 7
-    pdf = df.toPandas()
-    for _, r in pdf.head(10).iterrows():
-        assert r["w"] == S[int(r["i"]), int(r["j"])]
