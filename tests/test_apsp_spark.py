@@ -26,7 +26,8 @@ def test_matches_driver(spark, graph):
     assert np.array_equal(got, apsp(n, edges, w))
 
 
-def test_shape_and_zero_diag(spark, graph):
+def test_df_shape_and_zero_diag(spark, graph):
+    """All n * n source/target distances come back, each self-distance 0."""
     n, edges, w = graph
     M = apsp_matrix(spark, n, edges, w)
     assert M.shape == (n, n)
