@@ -1,18 +1,15 @@
-"""Shared harness for the evaluation jobs and benchmarks.
+"""Shared harness for the evaluation jobs.
 
 One ``run_method`` entry point per method name used in the paper's plots
 (PMFG-DBHT, SEQ-TDBHT, PAR-TDBHT-k, COMP, AVG, K-MEANS, K-MEANS-S), each
 returning wall time, the ARI at the ground-truth cluster count, and any
-extras. ``jobs/table_*.py`` and ``benchmarks/bench_*.py`` are thin
-wrappers over this module.
+extras. ``jobs/table_*.py`` are thin wrappers over this module.
 """
 from __future__ import annotations
 
 import os
 import time
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.dbht import dbht
 from repro.core.dendrogram import from_linkage
@@ -22,14 +19,7 @@ from repro.core.linkage import hac
 from repro.core.metrics import ari
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
-from repro.datasets import TSDataset, correlation_matrices
-
-
-def znorm(X: np.ndarray) -> np.ndarray:
-    mu = X.mean(axis=1, keepdims=True)
-    sd = X.std(axis=1, keepdims=True)
-    sd[sd < 1e-12] = 1.0
-    return (X - mu) / sd
+from repro.datasets import TSDataset, correlation_matrices, znorm_rows
 
 
 def prepare(ds: TSDataset):
@@ -72,7 +62,7 @@ def run_linkage(ds: TSDataset, S, D, k, method: str) -> Dict:
 
 
 def run_kmeans(ds: TSDataset, k, seed: int = 0) -> Dict:
-    X = znorm(ds.X)
+    X = znorm_rows(ds.X)
     t0 = time.monotonic()
     labels, _ = kmeans(X, k, seed=seed)
     return {"time": time.monotonic() - t0, "ari": ari(ds.y, labels)}
@@ -88,7 +78,7 @@ def run_kmeans_s(ds: TSDataset, k, beta: Optional[int] = None,
                  seed: int = 0) -> Dict:
     """One run at a fixed beta, or (paper protocol) the best over the
     sweep when beta is None."""
-    X = znorm(ds.X)
+    X = znorm_rows(ds.X)
     if beta is not None:
         t0 = time.monotonic()
         labels = kmeans_s(X, k, beta=beta, seed=seed)
@@ -133,8 +123,13 @@ def write_result(name: str, text: str) -> str:
 
 
 def get_spark():
-    """Standalone SparkSession for ``spark-submit``/CLI job runs, mirroring
-    the conftest fixture's configuration."""
+    """Standalone SparkSession for CLI job runs.
+
+    Master and driver memory come from ``SPARK_MASTER`` (default
+    ``local[*]``) and ``SPARK_DRIVER_MEM`` (default 24g). The jobs reach
+    Spark only through the APSP fan-out's RDD, so no Spark SQL setting is
+    made.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -144,13 +139,6 @@ def get_spark():
     )
     from pyspark.sql import SparkSession
 
-    s = (
-        SparkSession.builder.appName("repro-job")
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = SparkSession.builder.appName("repro-job").getOrCreate()
     s.sparkContext.setLogLevel("ERROR")
     return s

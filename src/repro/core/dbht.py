@@ -243,7 +243,10 @@ def build_hierarchy(assign: Assignments, dist: np.ndarray) -> Dendrogram:
                 return (0, nd.bubble, nd.dist, nd.seq)
             return (1, 0, nd.dist, nd.seq)
         nds_sorted = sorted(nds, key=sort_key)
-        assert len(nds_sorted) == n_b - 1
+        if len(nds_sorted) != n_b - 1:
+            raise RuntimeError(
+                f"group {g} has {len(nds_sorted)} internal nodes for "
+                f"{n_b} members, expected {n_b - 1}")
         for h, nd in zip(ladder, nds_sorted):
             heights[nd.nid - n] = h
     # top-level nodes: height = number of converging bubbles (groups) below.

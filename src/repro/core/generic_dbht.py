@@ -229,6 +229,9 @@ def assign_vertices_generic(S: np.ndarray, tree: GenericBubbleTree,
 
     chi(v,b) = sum_{u in b} w(u,v) / (3(|b|-2));
     chi'(v,b) = sum_{u in b} w(u,v) / sum_{u',v' in b} w(u',v').
+
+    Every sum runs in ascending ``u`` (as in ``repro.core.dbht``), scores
+    are compared exactly, and ties go to the smallest bubble id.
     """
     if tree.down is None:
         raise RuntimeError("call compute_directions first")
@@ -243,7 +246,7 @@ def assign_vertices_generic(S: np.ndarray, tree: GenericBubbleTree,
         verts = tree.bubbles[int(b)]
         norm = 3.0 * (len(verts) - 2)
         for v in verts:
-            chi = round(sum(S[u, v] for u in verts if u != v) / norm, 12)
+            chi = sum(S[u, v] for u in verts if u != v) / norm
             if chi > best_chi[v]:
                 best_chi[v] = chi
                 group[v] = b
@@ -258,7 +261,7 @@ def assign_vertices_generic(S: np.ndarray, tree: GenericBubbleTree,
             candidates = [int(b) for b in cvg if len(vb0[int(b)]) > 0]
         best = None
         for b in candidates:
-            lbar = round(float(dist[vb0[b], v].mean()), 12)
+            lbar = sum(dist[u, v] for u in vb0[b]) / len(vb0[b])
             if best is None or lbar < best[0]:
                 best = (lbar, b)
         group[v] = best[1]
@@ -273,7 +276,7 @@ def assign_vertices_generic(S: np.ndarray, tree: GenericBubbleTree,
     for v in range(n):
         for b in mem[v]:
             verts = tree.bubbles[b]
-            chi2 = round(sum(S[u, v] for u in verts if u != v) / denom[b], 12)
+            chi2 = sum(S[u, v] for u in verts if u != v) / denom[b]
             if chi2 > best_chi2[v]:
                 best_chi2[v] = chi2
                 bubble[v] = b

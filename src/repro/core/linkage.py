@@ -97,43 +97,3 @@ def pairwise_max_between(D: np.ndarray, groups: List[np.ndarray]) -> np.ndarray:
         for j in range(i + 1, k):
             M[i, j] = M[j, i] = D[np.ix_(groups[i], groups[j])].max()
     return M
-
-
-def greedy_hac_reference(D: np.ndarray, method: str = "complete") -> np.ndarray:
-    """O(m^3) textbook greedy HAC; test oracle for :func:`hac`.
-
-    Always merges the globally closest pair (ties toward the smallest
-    ids), which for reducible linkages yields the same dendrogram as the
-    NN-chain up to merge-row permutation.
-    """
-    m = D.shape[0]
-    W = D.astype(np.float64, copy=True)
-    np.fill_diagonal(W, np.inf)
-    size = np.ones(m)
-    cluster_id = np.arange(m, dtype=np.int64)
-    active = np.ones(m, dtype=bool)
-    Z = np.empty((m - 1, 4))
-    next_id = m
-    for r in range(m - 1):
-        masked = np.where(np.outer(active, active), W, np.inf)
-        flat = int(np.argmin(masked))
-        a, b = divmod(flat, m)
-        if a > b:
-            a, b = b, a
-        dist = W[a, b]
-        ia, ib = sorted((cluster_id[a], cluster_id[b]))
-        if method == "complete":
-            new_row = np.maximum(W[a], W[b])
-        else:
-            new_row = (size[a] * W[a] + size[b] * W[b]) / (size[a] + size[b])
-        W[a] = new_row
-        W[:, a] = new_row
-        W[a, a] = np.inf
-        active[b] = False
-        W[b] = np.inf
-        W[:, b] = np.inf
-        size[a] = size[a] + size[b]
-        Z[r] = (ia, ib, dist, size[a])
-        cluster_id[a] = next_id
-        next_id += 1
-    return Z

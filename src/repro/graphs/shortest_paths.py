@@ -9,7 +9,7 @@ sources into blocks and calls :func:`apsp` on each block in a Spark task.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,18 +65,3 @@ def apsp(n: int, edges: np.ndarray, weights: np.ndarray,
     for i, s in enumerate(sources):
         out[i] = dijkstra(adj, int(s))
     return out
-
-
-def bfs_levels(adj_unweighted: Dict[int, List[int]], src: int) -> Dict[int, int]:
-    """Unweighted BFS levels; used by tests to validate connectivity."""
-    level = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj_unweighted.get(u, []):
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return level

@@ -1,12 +1,12 @@
-"""Tests for the shared experiment harness (repro.bench) that jobs and
-benchmarks are thin wrappers over."""
+"""Tests for the shared experiment harness (repro.bench) that the jobs
+are thin wrappers over."""
 import numpy as np
 import pytest
 
 from repro.bench import (beta_grid, markdown_table, prepare, run_kmeans,
                          run_kmeans_s, run_linkage, run_pmfg_dbht,
-                         run_seq_tdbht, znorm)
-from repro.datasets import latent_curve_dataset
+                         run_seq_tdbht)
+from repro.datasets import latent_curve_dataset, znorm_rows
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ class TestRunners:
 class TestHelpers:
     def test_znorm(self):
         X = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
-        Z = znorm(X)
+        Z = znorm_rows(X)
         assert np.allclose(Z.mean(1), 0)
         assert np.allclose(Z[0].std(), 1)
         assert np.allclose(Z[1], 0)  # constant row guarded

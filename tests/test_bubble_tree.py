@@ -5,7 +5,28 @@ import numpy as np
 import pytest
 
 from repro.core.tmfg import tmfg
-from repro.graphs.shortest_paths import bfs_levels
+
+
+def bfs_levels(adj, src):
+    """Unweighted BFS levels; the connectivity oracle of the
+    separation test."""
+    level = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj.get(u, []):
+                if v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level
+
+
+def test_bfs_levels():
+    adj = {0: [1, 2], 1: [0, 3], 2: [0], 3: [1], 4: []}
+    lv = bfs_levels(adj, 0)
+    assert lv == {0: 0, 1: 1, 2: 1, 3: 2}
 
 
 def rand_sim(n, seed):

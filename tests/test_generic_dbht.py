@@ -13,6 +13,7 @@ from repro.core.generic_dbht import (dbht_on_planar_graph,
                                      enumerate_triangles, planar_bubble_tree)
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
+from tests.test_dbht import HARD_CASES as DBHT_HARD_CASES
 
 
 def rand_sim(n, seed):
@@ -24,6 +25,20 @@ def rand_sim(n, seed):
 
 
 CASES = [(10, 0, 1), (20, 1, 1), (35, 2, 4), (50, 3, 8)]
+
+
+def rand_case(n, seed, prefix):
+    S = rand_sim(n, seed)
+    return S, np.sqrt(2 * (1 - np.clip(S, -1, 1))), tmfg(S, prefix=prefix)
+
+
+# Random S, then quantized S (many exactly tied scores) and correlation
+# inputs with several converging bubbles. Exactly tied scores go to the
+# smallest bubble id, and the two trees number bubbles differently, so
+# the two-valued block inputs (ties across bubbles) are left out.
+EQUIVALENCE_CASES = [
+    pytest.param(rand_case, c, id="-".join(map(str, c))) for c in CASES
+] + [p for p in DBHT_HARD_CASES if not p.id.startswith("blocks")]
 
 
 class TestTriangles:
@@ -74,9 +89,9 @@ class TestBubbleDetection:
 
 
 class TestFullEquivalenceOnTMFG:
-    @pytest.mark.parametrize("n,seed,prefix", CASES)
-    def test_same_assignments_and_hierarchy(self, n, seed, prefix):
-        """Generic DBHT on a TMFG == the TMFG-optimized path.
+    @pytest.mark.parametrize("make,args", EQUIVALENCE_CASES)
+    def test_same_assignments_and_hierarchy(self, make, args):
+        """Generic DBHT on a TMFG == the TMFG-optimized path, exactly.
 
         Bubble *numbering* differs between the two trees (and the height
         assignment sorts by bubble id), so assignments are compared via
@@ -86,9 +101,8 @@ class TestFullEquivalenceOnTMFG:
         from repro.core.dbht import build_hierarchy
         from repro.core.dbht import Assignments as A
 
-        S = rand_sim(n, seed)
-        D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
-        t = tmfg(S, prefix=prefix)
+        S, D, t = make(*args)
+        n = t.n
         fast = dbht(S, D, t)
         gen_tree = planar_bubble_tree(n, t.edges)
         gen = dbht_on_planar_graph(S, D, t.edges)
@@ -112,7 +126,7 @@ class TestFullEquivalenceOnTMFG:
                 [to_fast[int(b)] for b in gen.assignments.converging])),
         )
         rebuilt = build_hierarchy(remapped, gen.apsp)
-        assert np.allclose(rebuilt.merges, fast.dendrogram.merges)
+        assert np.array_equal(rebuilt.merges, fast.dendrogram.merges)
 
 
 class TestPMFGDBHT:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.tmfg import tmfg
-from repro.graphs.shortest_paths import apsp, bfs_levels, build_adjacency, dijkstra
+from repro.graphs.shortest_paths import apsp, build_adjacency, dijkstra
 
 
 def floyd_warshall(n, edges, weights):
@@ -83,9 +83,3 @@ class TestOnTMFG:
         # path can't exceed the direct edge weight
         for (u, v), wd in zip(t.edges[:20], w[:20]):
             assert d[u, v] <= wd + 1e-12
-
-
-def test_bfs_levels():
-    adj = {0: [1, 2], 1: [0, 3], 2: [0], 3: [1], 4: []}
-    lv = bfs_levels(adj, 0)
-    assert lv == {0: 0, 1: 1, 2: 1, 3: 2}
